@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ...faults import FaultInjector, FaultPlan, FetchFaults
+from ...gnutella.network import GnutellaNetwork
 from ...malware.corpus import limewire_strains, openft_strains
 from ...peers.population import (BuiltWorld, build_gnutella_world,
                                  build_openft_world)
@@ -175,6 +176,21 @@ def _export_transport(registry, transport) -> None:
         "Messages delivered by the transport.").inc(transport.delivered)
 
 
+def _export_qrp(registry, network) -> None:
+    """Fold the leaves' QRP work counters into the run's registry."""
+    if not isinstance(network, GnutellaNetwork):
+        return
+    stats = [servent.stats for servent in network.servents.values()]
+    registry.counter(
+        "gnutella_qrp_syncs_total",
+        "QRP table syncs from leaves to their ultrapeers.").inc(
+            sum(entry.qrp_syncs for entry in stats))
+    registry.counter(
+        "gnutella_qrp_rebuilds_total",
+        "QRP syncs that rebuilt the table and ran the wire round "
+        "trip.").inc(sum(entry.qrp_rebuilds for entry in stats))
+
+
 def _run(config: CampaignConfig, world: BuiltWorld, collector,
          workload: QueryWorkload,
          telemetry: Optional[CampaignTelemetry] = None) -> None:
@@ -188,6 +204,7 @@ def _run(config: CampaignConfig, world: BuiltWorld, collector,
     if telemetry is not None:
         # run_until already flushed the kernel counters; settle the rest
         _export_transport(telemetry.registry, world.transport)
+        _export_qrp(telemetry.registry, world.network)
         telemetry.tracer.close_open(sim.now)
         if telemetry.journal is not None:
             telemetry.journal.close(sim)

@@ -62,8 +62,8 @@ from ..simnet.shard import (ShardPlan, ShardedTransport, WindowDriver,
                             lookahead_of, window_run_target)
 from .measure.campaign import (CampaignConfig, CampaignResult,
                                _arm_faults, _crawler_address,
-                               _export_transport, _install_journal,
-                               default_profile)
+                               _export_qrp, _export_transport,
+                               _install_journal, default_profile)
 from .measure.collector import LimewireCollector, OpenFTCollector
 from .measure.download import Downloader
 from .measure.queries import QueryWorkload
@@ -323,6 +323,7 @@ class ShardRuntime:
         if self.shard_id == 0 and self.telemetry is not None:
             # same closing sequence as the plain campaign's _run
             _export_transport(self.telemetry.registry, self.world.transport)
+            _export_qrp(self.telemetry.registry, self.world.network)
             self.telemetry.tracer.close_open(self.sim.now)
             if self.telemetry.journal is not None:
                 self.telemetry.journal.close(self.sim)

@@ -48,11 +48,17 @@ class SharedFile:
 
 
 class SharedLibrary:
-    """A peer's shared folder plus its inverted keyword index."""
+    """A peer's shared folder plus its inverted keyword index.
+
+    ``version`` counts real changes (an ``add`` of a new file or a
+    ``remove`` of a shared one), so anything derived from the contents
+    -- a QRP table -- can be rebuilt only when it moves.
+    """
 
     def __init__(self) -> None:
         self._files: Dict[int, SharedFile] = {}
         self._token_index: Dict[str, Set[int]] = {}
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._files)
@@ -64,6 +70,7 @@ class SharedLibrary:
         """Share a file (idempotent per file_id)."""
         if shared.file_id in self._files:
             return
+        self.version += 1
         self._files[shared.file_id] = shared
         for token in shared.tokens:
             self._token_index.setdefault(token, set()).add(shared.file_id)
@@ -73,6 +80,7 @@ class SharedLibrary:
         shared = self._files.pop(file_id, None)
         if shared is None:
             return
+        self.version += 1
         for token in shared.tokens:
             bucket = self._token_index.get(token)
             if bucket is not None:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
+                    Set)
 
 from ..files.names import tokenize
 
-__all__ = ["DEFAULT_TABLE_BITS", "qrp_hash", "QueryRouteTable",
+__all__ = ["DEFAULT_TABLE_BITS", "qrp_hash", "QueryKeys", "QueryRouteTable",
            "QrpReset", "QrpPatch", "encode_qrp", "decode_qrp"]
 
 #: 2^16 slots, Limewire's default leaf table size.
@@ -51,13 +52,43 @@ def _routable_tokens(text: str) -> List[str]:
             if len(token) >= _MIN_TOKEN_LENGTH]
 
 
+class QueryKeys:
+    """A query's routable keywords, hashed once per table geometry.
+
+    An ultrapeer tests one query against every attached leaf's table;
+    building this once per forward lets each table test be a set
+    containment instead of a re-tokenize and re-hash.
+    """
+
+    __slots__ = ("tokens", "_slots")
+
+    def __init__(self, query: str) -> None:
+        self.tokens = _routable_tokens(query)
+        self._slots: Dict[int, FrozenSet[int]] = {}
+
+    def slots(self, bits: int) -> FrozenSet[int]:
+        """The query's table slots for a ``2**bits``-slot table."""
+        slots = self._slots.get(bits)
+        if slots is None:
+            slots = self._slots[bits] = frozenset(
+                qrp_hash(token, bits) for token in self.tokens)
+        return slots
+
+
 class QueryRouteTable:
-    """A leaf's keyword bitmap."""
+    """A leaf's keyword bitmap, stored sparsely as its set slots.
+
+    A table is either *built* (mutable: :meth:`add_keyword`,
+    :meth:`build_from`, :meth:`mark_all`) or *received*
+    (:meth:`from_messages`: immutable, its slots a ``frozenset``), so one
+    received table can be installed on several ultrapeers safely.  The
+    all-ones table is a flag, not ``size`` members.
+    """
 
     def __init__(self, bits: int = DEFAULT_TABLE_BITS) -> None:
         self.bits = bits
         self.size = 1 << bits
-        self._slots = bytearray(self.size)
+        self._slots: AbstractSet[int] = set()
         self._all_ones = False
 
     def __eq__(self, other: object) -> bool:
@@ -69,44 +100,66 @@ class QueryRouteTable:
     @property
     def set_count(self) -> int:
         """Number of set slots (diagnostics / tests)."""
-        return self.size if self._all_ones else sum(self._slots)
+        return self.size if self._all_ones else len(self._slots)
+
+    def _mutable_slots(self) -> Set[int]:
+        if isinstance(self._slots, frozenset):
+            raise TypeError("a received QRP table is immutable")
+        return self._slots  # type: ignore[return-value]
 
     def add_keyword(self, token: str) -> None:
         """Mark one keyword present."""
-        self._slots[qrp_hash(token, self.bits)] = 1
+        self._mutable_slots().add(qrp_hash(token, self.bits))
 
     def add_name(self, name: str) -> None:
         """Mark every routable token of a file name."""
-        for token in _routable_tokens(name):
-            self.add_keyword(token)
+        self._add_tokens(tokenize(name))
 
     def build_from(self, names: Iterable[str]) -> None:
         """(Re)build from a library's file names."""
-        self._slots = bytearray(self.size)
+        self._mutable_slots().clear()
         self._all_ones = False
+        tokens: Set[str] = set()
         for name in names:
-            self.add_name(name)
+            tokens |= tokenize(name)
+        self._add_tokens(tokens)  # each distinct token hashed once
+
+    def _add_tokens(self, tokens: AbstractSet[str]) -> None:
+        bits = self.bits
+        self._mutable_slots().update(
+            qrp_hash(token, bits) for token in tokens
+            if len(token) >= _MIN_TOKEN_LENGTH)
 
     def mark_all(self) -> None:
         """Set every slot -- the echo-worm trick to receive all queries."""
-        self._slots = bytearray(b"\x01" * self.size)
+        self._mutable_slots().clear()
         self._all_ones = True
 
-    def might_match(self, query: str) -> bool:
-        """QRP forwarding decision for ``query``.
+    def admits(self, keys: QueryKeys) -> bool:
+        """QRP forwarding decision for a pre-hashed query.
 
         True when every routable query token is present.  Queries with no
         routable token are conservatively forwarded (spec behaviour for
         urn-only queries).
         """
-        if self._all_ones:
+        if self._all_ones or not keys.tokens:
             return True
-        tokens = _routable_tokens(query)
-        if not tokens:
-            return True
-        return all(self._slots[qrp_hash(token, self.bits)] for token in tokens)
+        return self._slots.issuperset(keys.slots(self.bits))
+
+    def might_match(self, query: str) -> bool:
+        """QRP forwarding decision for ``query`` (see :meth:`admits`)."""
+        return self.admits(QueryKeys(query))
 
     # -- wire form ---------------------------------------------------------
+    def _dense(self) -> bytes:
+        """The slot array as sent on the wire: one byte per slot."""
+        if self._all_ones:
+            return b"\x01" * self.size
+        dense = bytearray(self.size)
+        for slot in self._slots:
+            dense[slot] = 1
+        return bytes(dense)
+
     def to_messages(self, fragment_slots: int = 2048,
                     compress: bool = False) -> List:
         """Serialize as one RESET plus PATCH fragments.
@@ -115,39 +168,56 @@ class QueryRouteTable:
         negotiated this; mostly-empty leaf tables compress enormously).
         """
         compressor = COMPRESSOR_ZLIB if compress else COMPRESSOR_NONE
-        patches: List[QrpPatch] = []
-        fragments = [self._slots[start:start + fragment_slots]
+        dense = self._dense()
+        fragments = [dense[start:start + fragment_slots]
                      for start in range(0, self.size, fragment_slots)]
-        for index, fragment in enumerate(fragments):
-            patches.append(QrpPatch(
-                sequence_number=index + 1,
-                sequence_count=len(fragments),
-                entry_bits=8,
-                data=bytes(fragment),
-                compressor=compressor,
-            ))
+        patches = [QrpPatch(sequence_number=index + 1,
+                            sequence_count=len(fragments),
+                            entry_bits=8, data=fragment,
+                            compressor=compressor)
+                   for index, fragment in enumerate(fragments)]
         return [QrpReset(table_length=self.size, infinity=7), *patches]
 
     @staticmethod
     def from_messages(messages: Iterable) -> "QueryRouteTable":
-        """Rebuild a table from a RESET + PATCH stream."""
-        table: QueryRouteTable = QueryRouteTable()
+        """Rebuild a received (immutable) table from a RESET + PATCH stream.
+
+        A slot is set when its entry byte is non-zero.
+        """
+        bits = DEFAULT_TABLE_BITS
+        chunks: List[bytes] = []
         cursor = 0
         for message in messages:
             if isinstance(message, QrpReset):
                 bits = message.table_length.bit_length() - 1
-                table = QueryRouteTable(bits=bits)
+                chunks = []
                 cursor = 0
             elif isinstance(message, QrpPatch):
-                end = cursor + len(message.data)
-                if end > table.size:
+                cursor += len(message.data)
+                if cursor > 1 << bits:
                     raise ValueError("QRP patch overruns table")
-                table._slots[cursor:end] = message.data
-                cursor = end
+                chunks.append(message.data)
             else:
                 raise TypeError(f"not a QRP message: {message!r}")
-        table._all_ones = all(table._slots)
+        table = QueryRouteTable(bits=bits)
+        flags = b"".join(chunks).translate(_NONZERO_TO_ONE)
+        if flags.count(1) == table.size:
+            table._all_ones = True
+            table._slots = frozenset()
+        else:
+            table._slots = frozenset(_indices_of_ones(flags))
         return table
+
+
+#: byte map folding every non-zero entry to 1
+_NONZERO_TO_ONE = bytes([0] + [1] * 255)
+
+
+def _indices_of_ones(flags: bytes) -> Iterator[int]:
+    index = flags.find(1)
+    while index >= 0:
+        yield index
+        index = flags.find(1, index + 1)
 
 
 @dataclass(frozen=True)

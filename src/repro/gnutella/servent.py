@@ -34,7 +34,7 @@ from .guid import GUID_LENGTH, new_guid
 from .messages import (Bye, FrameCache, Header, HitResult, MessageError,
                        Ping, Pong, Push, Query, QueryHit, decode_payload,
                        frame, parse_frame, parse_header, patch_ttl_hops)
-from .qrp import QueryRouteTable
+from .qrp import QueryKeys, QueryRouteTable
 
 __all__ = ["ServentStats", "GnutellaServent"]
 
@@ -56,6 +56,10 @@ class ServentStats:
     dropped_duplicates: int = 0
     dropped_ttl: int = 0
     decode_errors: int = 0
+    #: (leaves) QRP table syncs to a shield, and how many of them had to
+    #: rebuild the table and run the wire round trip
+    qrp_syncs: int = 0
+    qrp_rebuilds: int = 0
 
 
 class GnutellaServent:
@@ -108,6 +112,10 @@ class GnutellaServent:
         self.peer_ids: List[str] = []
         #: for ultrapeers: attached leaves and their QRP tables
         self.leaf_tables: Dict[str, QueryRouteTable] = {}
+        #: for leaves: the last table shipped to the shields, with the
+        #: (library version, echo-infected) key it was built for
+        self.advertised_qrt: Optional[Tuple[Tuple[int, bool],
+                                            QueryRouteTable]] = None
         #: reverse routes: descriptor GUID -> (upstream endpoint, expiry)
         self._routes: Dict[bytes, Tuple[str, float]] = {}
         #: push routes: responder servent GUID (hex) -> (the neighbour a
@@ -139,15 +147,20 @@ class GnutellaServent:
         """Current session state (driven by churn)."""
         return self.transport.is_online(self.endpoint_id)
 
+    @property
+    def echo_infected(self) -> bool:
+        """True when the host carries a query-echo strain."""
+        return self.infection is not None and bool(self.infection.echo_strains)
+
     # -- QRP ---------------------------------------------------------------
     def build_route_table(self) -> QueryRouteTable:
-        """The QRT this servent advertises to its ultrapeers.
+        """A freshly built QRT this servent advertises to its ultrapeers.
 
         Echo-infected hosts advertise an all-ones table; honest hosts hash
         their shared names.
         """
         table = QueryRouteTable()
-        if self.infection is not None and self.infection.echo_strains:
+        if self.echo_infected:
             table.mark_all()
         else:
             table.build_from(shared.name for shared in self.library)
@@ -354,10 +367,11 @@ class GnutellaServent:
         else:
             leaf_frame = frame(header.guid, query, ttl=1,
                                hops=header.hops + 1)
+        keys = QueryKeys(query.criteria)  # hashed once for every leaf
         for leaf_id, table in self.leaf_tables.items():
             if leaf_id == src:
                 continue
-            if table.might_match(query.criteria):
+            if table.admits(keys):
                 self.transport.send(self.endpoint_id, leaf_id, leaf_frame)
                 self.stats.queries_forwarded_leaves += 1
 
@@ -422,7 +436,7 @@ class GnutellaServent:
                         query: Query) -> None:
         matches: List[SharedFile] = self.library.match(
             query.criteria, limit=MAX_RESULTS_PER_HIT)
-        if self.infection is not None and self.infection.echo_strains:
+        if self.echo_infected:
             echoed = self.infection.echo_responses(query.criteria, self.stream)
             matches = [shared for _, shared in echoed] + matches
         if not matches:

@@ -55,12 +55,21 @@ def sync_leaf_qrt(leaf: GnutellaServent, ultrapeer: GnutellaServent) -> None:
 
     Also used at runtime when a leaf's library changes (e.g. a latent host
     becomes infected and must re-advertise an all-ones table).
+
+    The received table is memoized on the leaf, keyed on its library
+    version and echo infection: the build and encode/decode round trip
+    run only when that key changes, and every shield installs the same
+    immutable table object.
     """
-    wire = [encode_qrp(message) for message in
-            leaf.build_route_table().to_messages()]
-    received = [decode_qrp(payload) for payload in wire]
-    ultrapeer.install_leaf_table(leaf.endpoint_id,
-                                 QueryRouteTable.from_messages(received))
+    leaf.stats.qrp_syncs += 1
+    key = (leaf.library.version, leaf.echo_infected)
+    if leaf.advertised_qrt is None or leaf.advertised_qrt[0] != key:
+        wire = [encode_qrp(message) for message in
+                leaf.build_route_table().to_messages()]
+        received = [decode_qrp(payload) for payload in wire]
+        leaf.advertised_qrt = (key, QueryRouteTable.from_messages(received))
+        leaf.stats.qrp_rebuilds += 1
+    ultrapeer.install_leaf_table(leaf.endpoint_id, leaf.advertised_qrt[1])
 
 
 _sync_qrp = sync_leaf_qrt  # internal alias used by the builders below

@@ -46,6 +46,18 @@ class TestAddRemove:
     def test_total_bytes(self, library):
         assert library.total_bytes() == 3000
 
+    def test_version_counts_real_changes(self, library):
+        assert library.version == 3
+        shared = library.files()[0]
+        library.add(shared)  # already shared: no change
+        assert library.version == 3
+        library.remove(shared.file_id)
+        assert library.version == 4
+        library.remove(shared.file_id)  # already gone: no change
+        assert library.version == 4
+        library.add(shared)
+        assert library.version == 5
+
 
 class TestMatching:
     def test_single_token(self, library):

@@ -4,9 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.files.names import tokenize
 from repro.gnutella.qrp import (DEFAULT_TABLE_BITS, QrpPatch, QrpReset,
-                                QueryRouteTable, decode_qrp, encode_qrp,
-                                qrp_hash)
+                                QueryKeys, QueryRouteTable, decode_qrp,
+                                encode_qrp, qrp_hash)
+
+
+def dense_slots(names, bits=DEFAULT_TABLE_BITS):
+    """Reference: the one-byte-per-slot array a table of ``names`` sends."""
+    slots = bytearray(1 << bits)
+    for name in names:
+        for token in tokenize(name):
+            if len(token) >= 3:
+                slots[qrp_hash(token, bits)] = 1
+    return slots
+
+
+def dense_match(slots, query, bits=DEFAULT_TABLE_BITS):
+    """Reference: per-token QRP decision against a dense slot array."""
+    tokens = [token for token in tokenize(query) if len(token) >= 3]
+    return all(slots[qrp_hash(token, bits)] for token in tokens)
+
+
+def roundtrip(table, **kwargs):
+    return QueryRouteTable.from_messages(
+        decode_qrp(encode_qrp(message))
+        for message in table.to_messages(**kwargs))
 
 
 class TestHash:
@@ -75,6 +98,79 @@ class TestQueryRouteTable:
         assert table.set_count == 0
         table.add_keyword("photoshop")
         assert table.set_count == 1
+
+
+class TestHashOnce:
+    WORDS = st.sampled_from(["madonna", "angel", "crack", "photoshop",
+                             "zebra", "ab", "mix", "live", "xp"])
+    NAMES = st.lists(st.lists(WORDS, min_size=1, max_size=4).map("_".join),
+                     max_size=6)
+    QUERIES = st.one_of(st.lists(WORDS, max_size=3).map(" ".join),
+                        st.text(max_size=12))
+
+    @given(names=NAMES, queries=st.lists(QUERIES, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_keys_agree_with_might_match(self, names, queries):
+        """One QueryKeys tested against several tables (built, received,
+        other geometry) decides exactly like a fresh per-table check and
+        like the dense per-token reference."""
+        built = QueryRouteTable()
+        built.build_from(names)
+        small = QueryRouteTable(bits=8)
+        small.build_from(names)
+        tables = [(built, DEFAULT_TABLE_BITS), (roundtrip(built),
+                                                DEFAULT_TABLE_BITS),
+                  (small, 8), (roundtrip(small), 8)]
+        for query in queries:
+            keys = QueryKeys(query)
+            for table, bits in tables:
+                expected = dense_match(dense_slots(names, bits), query, bits)
+                assert table.admits(keys) == expected
+                assert table.might_match(query) == expected
+
+    def test_keys_hash_once_per_geometry(self):
+        keys = QueryKeys("madonna angel ab")
+        assert keys.tokens and "ab" not in keys.tokens
+        assert keys.slots(16) is keys.slots(16)
+        assert keys.slots(16) == {qrp_hash("madonna"), qrp_hash("angel")}
+
+
+class TestReceivedTables:
+    def test_received_table_is_immutable(self):
+        table = QueryRouteTable()
+        table.add_name("madonna_angel.mp3")
+        received = roundtrip(table)
+        for mutate in (lambda: received.add_keyword("zebra"),
+                       lambda: received.build_from(["x_y_z.mp3"]),
+                       received.mark_all):
+            with pytest.raises(TypeError):
+                mutate()
+        assert received == table
+
+    def test_all_ones_is_a_flag(self):
+        table = QueryRouteTable()
+        table.mark_all()
+        received = roundtrip(table)
+        assert received.set_count == received.size
+        assert received == table
+        assert len(received._slots) == 0  # no 65,536-member set
+
+    def test_nonzero_entries_are_set(self):
+        reset = QrpReset(table_length=16, infinity=7)
+        patch = QrpPatch(1, 1, 8, bytes([0, 7, 0, 0, 1] + [0] * 11))
+        received = QueryRouteTable.from_messages([reset, patch])
+        assert received.bits == 4 and received.set_count == 2
+
+    @given(TestHashOnce.NAMES, st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_messages_match_dense_reference(self, names, compress):
+        """to_messages sends exactly the dense one-byte-per-slot table."""
+        table = QueryRouteTable()
+        table.build_from(names)
+        messages = table.to_messages(compress=compress)
+        assert messages[0] == QrpReset(table_length=table.size, infinity=7)
+        assert b"".join(m.data for m in messages[1:]) == dense_slots(names)
+        assert roundtrip(table, compress=compress) == table
 
 
 class TestWireForm:

@@ -115,3 +115,88 @@ class TestLinkHelpers:
         sync_leaf_qrt(leaf, ultrapeers[0])
         assert ultrapeers[0].leaf_tables[leaf.endpoint_id].might_match(
             "latecomer file")
+
+
+def make_file(name):
+    from repro.files.library import SharedFile
+    from repro.files.payload import Blob
+    return SharedFile.make(name, 1, "exe",
+                           Blob(content_key=name, extension="exe", size=1))
+
+
+class TestQrtMemo:
+    """sync_leaf_qrt rebuilds only when (library version, echo) changes."""
+
+    @pytest.fixture()
+    def encodes(self, monkeypatch):
+        from repro.gnutella import topology
+        calls = []
+        original = topology.encode_qrp
+
+        def counting(message):
+            calls.append(message)
+            return original(message)
+        monkeypatch.setattr(topology, "encode_qrp", counting)
+        return calls
+
+    def test_shields_share_one_table(self, sim):
+        _, ultrapeers, leaves = make_servents(sim, 2, 1)
+        leaf = leaves[0]
+        leaf.library.add(make_file("shared_marker.exe"))
+        for ultrapeer in ultrapeers:
+            attach_leaf(leaf, ultrapeer)
+        first, second = (up.leaf_tables[leaf.endpoint_id]
+                         for up in ultrapeers)
+        assert first is second
+        assert first.might_match("shared marker")
+        with pytest.raises(TypeError):
+            first.add_keyword("tamper")
+
+    def test_round_trip_once_per_key(self, sim, encodes):
+        _, ultrapeers, leaves = make_servents(sim, 2, 1)
+        leaf = leaves[0]
+        for ultrapeer in ultrapeers:
+            attach_leaf(leaf, ultrapeer)
+        per_table = len(encodes)  # one RESET plus the PATCH fragments
+        assert per_table > 1
+        assert (leaf.stats.qrp_syncs, leaf.stats.qrp_rebuilds) == (2, 1)
+
+        sync_leaf_qrt(leaf, ultrapeers[0])  # nothing changed: no rebuild
+        assert len(encodes) == per_table
+        shared = make_file("latecomer_file.exe")
+        leaf.library.add(shared)
+        leaf.library.add(shared)  # a no-op add keeps the key
+        for ultrapeer in ultrapeers:
+            sync_leaf_qrt(leaf, ultrapeer)
+        assert len(encodes) == 2 * per_table
+        assert ultrapeers[1].leaf_tables[leaf.endpoint_id].might_match(
+            "latecomer file")
+        leaf.library.remove(shared.file_id)
+        sync_leaf_qrt(leaf, ultrapeers[0])
+        assert len(encodes) == 3 * per_table
+        assert not ultrapeers[0].leaf_tables[leaf.endpoint_id].might_match(
+            "latecomer file")
+        assert (leaf.stats.qrp_syncs, leaf.stats.qrp_rebuilds) == (6, 3)
+
+    def test_echo_infection_installs_all_ones(self, sim, encodes):
+        from repro.malware.infection import HostInfection
+        from repro.malware.strain import Behaviour, MalwareStrain
+        _, ultrapeers, leaves = make_servents(sim, 2, 1)
+        leaf = leaves[0]
+        for ultrapeer in ultrapeers:
+            attach_leaf(leaf, ultrapeer)
+        assert not ultrapeers[0].leaf_tables[leaf.endpoint_id].might_match(
+            "zebra quantum")
+        strain = MalwareStrain(strain_id="echo", av_name="W32.Echo",
+                               behaviour=Behaviour.QUERY_ECHO,
+                               sizes=(40_000,), extensions=("exe",),
+                               weight=1.0)
+        leaf.infection = HostInfection()
+        leaf.infection.echo_strains.append(strain)  # library untouched
+        for ultrapeer in ultrapeers:
+            sync_leaf_qrt(leaf, ultrapeer)
+        table = ultrapeers[0].leaf_tables[leaf.endpoint_id]
+        assert table is ultrapeers[1].leaf_tables[leaf.endpoint_id]
+        assert table.set_count == table.size
+        assert table.might_match("zebra quantum")
+        assert leaf.stats.qrp_rebuilds == 2

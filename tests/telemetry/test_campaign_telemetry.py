@@ -68,6 +68,18 @@ class TestMetricsExport:
         assert success == registry.get("downloader_enqueued_total").value \
             - registry.get("downloader_attempts_total").labels("offline").value
 
+    def test_qrp_work_counters_exported(self, instrumented):
+        result, telemetry, _ = instrumented
+        registry = telemetry.registry
+        servents = result.world.network.servents.values()
+        syncs = sum(servent.stats.qrp_syncs for servent in servents)
+        rebuilds = sum(servent.stats.qrp_rebuilds for servent in servents)
+        assert registry.get("gnutella_qrp_syncs_total").value == syncs
+        assert registry.get("gnutella_qrp_rebuilds_total").value == rebuilds
+        # every leaf (and the crawler) builds at least once; shields
+        # after the first and unchanged re-syncs reuse the memo
+        assert len(result.world.network.leaves) < rebuilds < syncs
+
 
 class TestJournal:
     def test_journal_has_periodic_rows_with_probes(self, instrumented):
