@@ -102,19 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="virtual days per replication")
     replicate.add_argument("--workers", type=int, default=None,
                            help="campaign processes to run in parallel "
-                                "(default: one per CPU; 1 = serial)")
-    replicate.add_argument("--shards", type=int, default=1,
-                           help="kernel shards per campaign (default 1 = "
-                                "the plain single-process kernel; N >= 2 "
-                                "partitions each seed's overlay into N "
-                                "conservative-window shards)")
-    replicate.add_argument("--shard-executor",
-                           choices=("auto", "serial", "process"),
-                           default="auto",
-                           help="how shards execute: forked worker "
-                                "processes, in-process serial twin, or "
-                                "auto-pick by host (results are identical "
-                                "either way)")
+                                "(default: one per CPU; 1 = one seed at "
+                                "a time)")
     replicate.add_argument("--telemetry-dir", type=Path, default=None,
                            help="instrument every replication and write "
                                 "per-seed journals/spans/metrics plus the "
@@ -332,13 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "reference (slow) data plane and demand "
                                 "identical event digests, store sha256 "
                                 "and headline metrics")
-    selfcheck.add_argument("--shard-equivalence", action="store_true",
-                           help="additionally prove the sharded kernel's "
-                                "contract for every seed: shards=1 (plain "
-                                "and forced through the window loop) is "
-                                "bit-identical to the single-process "
-                                "kernel, and N-shard stores are invariant "
-                                "in N")
     selfcheck.add_argument("--lock-order", action="store_true",
                            help="instead of the digest check, record "
                                 "every lock acquisition while a "
@@ -411,12 +393,9 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         print("error: --hang-seeds requires --supervise (an unsupervised "
               "pool would hang forever)", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     seeds = tuple(range(args.base_seed, args.base_seed + args.seeds))
     workers = resolve_workers(args.workers, len(seeds))
-    config = CampaignConfig(duration_days=args.days, shards=args.shards)
+    config = CampaignConfig(duration_days=args.days)
     supervision = None
     if args.supervise:
         from .resilience import SupervisionPolicy
@@ -433,9 +412,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     print(f"replicating {args.network} over seeds {list(seeds)} "
           f"({args.days:g} virtual days each, {workers} worker"
           f"{'s' if workers != 1 else ''}"
-          f"{', supervised' if supervision else ''}"
-          + (f", {args.shards} kernel shards" if args.shards > 1 else "")
-          + ")...")
+          f"{', supervised' if supervision else ''})...")
     kills = []
     report = run_replications(args.network, seeds, config,
                               workers=workers,
@@ -447,8 +424,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                               on_serve=lambda url: print(
                                   f"observability endpoint: {url}"),
                               supervision=supervision,
-                              on_kill=kills.append,
-                              shard_executor=args.shard_executor)
+                              on_kill=kills.append)
     for kill in kills:
         seed, attempt = kill.item
         print(f"supervisor: killed seed {seed} attempt {attempt} "
@@ -781,16 +757,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
                 scale=args.scale, sanitize=not args.no_sanitize)
             print(check.render())
             ok = ok and check.ok
-    if args.shard_equivalence:
-        from .devtools.selfcheck import run_shard_equivalence_check
-        print("\nsharded kernel vs plain kernel equivalence:")
-        for seed in seeds:
-            shard_check = run_shard_equivalence_check(
-                network=args.network, seed=seed,
-                days=min(args.days, 0.05), scale=args.scale,
-                sanitize=not args.no_sanitize)
-            print(shard_check.render())
-            ok = ok and shard_check.ok
     return 0 if ok else 1
 
 

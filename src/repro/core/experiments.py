@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from .analysis.prevalence import compute_prevalence
 from .analysis.sources import address_breakdown
 from .measure.campaign import (CampaignConfig, CampaignResult,
                                run_limewire_campaign, run_openft_campaign)
-from .parallel import merge_worker_registries, parallel_map, resolve_workers
+from .parallel import merge_worker_registries, resolve_workers
 
 __all__ = ["MetricSummary", "ReplicationReport", "HEADLINE_METRICS",
            "SeedFailure", "CheckpointJournal", "replicate_one",
@@ -125,8 +126,7 @@ class ReplicationReport:
 def replicate_one(network: str, config: CampaignConfig, profile,
                   seed: int, telemetry_dir: Optional[Path] = None,
                   sanitize: bool = False, attempt: int = 0,
-                  journal_interval_s: Optional[float] = None,
-                  shard_executor: str = "auto"):
+                  journal_interval_s: Optional[float] = None):
     """Run one seed's campaign and return its headline metric values.
 
     Top-level (and therefore picklable) on purpose: this is the unit of
@@ -166,27 +166,24 @@ def replicate_one(network: str, config: CampaignConfig, profile,
         from ..devtools.sanitizer import DeterminismSanitizer
         with DeterminismSanitizer(mode="raise"):
             result = runner(replace(config, seed=seed), profile=profile,
-                            telemetry=telemetry, attempt=attempt,
-                            shard_executor=shard_executor)
+                            telemetry=telemetry)
     else:
         result = runner(replace(config, seed=seed), profile=profile,
-                        telemetry=telemetry, attempt=attempt,
-                        shard_executor=shard_executor)
+                        telemetry=telemetry)
     metrics = {name: metric(result)
                for name, metric in HEADLINE_METRICS[network].items()}
-    shard_prints = (result.shards.fingerprints
-                    if result.shards is not None else None)
     if telemetry is not None:
         telemetry.write_outputs(Path(telemetry_dir), f"{network}_seed{seed}")
-    if shard_prints is not None:
-        # sharded runs always report a triple so the checkpoint journal
-        # can persist the per-shard fingerprints next to the metrics
-        snapshot = (telemetry.registry.snapshot()
-                    if telemetry is not None else None)
-        return metrics, snapshot, shard_prints
     if telemetry is None:
         return metrics
     return metrics, telemetry.registry.snapshot()
+
+
+#: Pool policy of an unsupervised run: watchdogs that never fire, and no
+#: requeue -- a worker that dies without a result goes straight to the
+#: retry-then-quarantine path.
+_UNWATCHED = SupervisionPolicy(deadline_s=math.inf, stall_timeout_s=math.inf,
+                               requeues=0)
 
 
 @dataclass(frozen=True)
@@ -201,8 +198,6 @@ class _SeedOutcome:
     ok: bool
     metrics: Optional[dict] = None
     snapshot: Optional[dict] = None
-    #: per-shard journal fingerprints when the campaign ran sharded
-    shards: Optional[tuple] = None
     error: str = ""
 
 
@@ -210,7 +205,6 @@ def _guarded_replicate(network: str, config: CampaignConfig, profile,
                        seed_attempt, telemetry_dir=None,
                        sanitize: bool = False,
                        journal_interval_s: Optional[float] = None,
-                       shard_executor: str = "auto",
                        ) -> _SeedOutcome:
     """Run one seed, converting any crash into a reportable outcome.
 
@@ -224,20 +218,16 @@ def _guarded_replicate(network: str, config: CampaignConfig, profile,
         result = replicate_one(network, config, profile, seed,
                                telemetry_dir=telemetry_dir,
                                sanitize=sanitize, attempt=attempt,
-                               journal_interval_s=journal_interval_s,
-                               shard_executor=shard_executor)
+                               journal_interval_s=journal_interval_s)
     except Exception:
         return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
                             error=traceback.format_exc())
-    shards = None
-    if isinstance(result, tuple) and len(result) == 3:
-        metrics, snapshot, shards = result
-    elif telemetry_dir is not None:
+    if telemetry_dir is not None:
         metrics, snapshot = result
     else:
         metrics, snapshot = result, None
     return _SeedOutcome(seed=seed, attempt=attempt, ok=True,
-                        metrics=metrics, snapshot=snapshot, shards=shards)
+                        metrics=metrics, snapshot=snapshot)
 
 
 def _experiment_fingerprint(network: str, config: CampaignConfig,
@@ -328,18 +318,13 @@ class CheckpointJournal:
                 self.completed[int(entry["seed"])] = entry
 
     def record(self, seed: int, metrics: dict,
-               snapshot: Optional[dict],
-               shards: Optional[Sequence[dict]] = None) -> None:
-        """Persist one completed seed (idempotent: re-records are no-ops,
-        which absorbs the serial-redo replay after a broken pool).
-        ``shards`` carries the per-shard fingerprints of a sharded
-        campaign so a resume can audit shard-level divergence."""
+               snapshot: Optional[dict]) -> None:
+        """Persist one completed seed (idempotent: re-records are
+        no-ops)."""
         if seed in self.completed:
             return
         entry = {"kind": "seed", "seed": seed, "metrics": metrics,
                  "snapshot": snapshot}
-        if shards is not None:
-            entry["shards"] = list(shards)
         self.completed[seed] = entry
         try:
             self._appender.append(entry)
@@ -376,14 +361,15 @@ def run_replications(network: str, seeds: Sequence[int],
                      on_serve: Optional[Callable[[str], None]] = None,
                      supervision: Optional[SupervisionPolicy] = None,
                      on_kill: Optional[Callable] = None,
-                     shard_executor: str = "auto",
                      ) -> ReplicationReport:
     """Run one campaign per seed and summarize the headline metrics.
 
-    ``workers`` fans seeds out over a process pool (``None`` = one per
-    CPU); each seed's campaign is fully determined by its seed, so the
-    report is bit-identical to ``workers=1`` -- the merge happens in
-    seed order, not completion order.
+    Every seed runs in its own worker process of the one pool,
+    :func:`repro.resilience.supervisor.supervised_map`; ``workers``
+    bounds how many run at once (``None`` = one per CPU).  Each seed's
+    campaign is fully determined by its seed, so the report is
+    bit-identical to ``workers=1`` -- the merge happens in seed order,
+    not completion order.
 
     ``telemetry_dir`` instruments every replication: per-seed journals,
     spans and metrics land there, the per-worker registries merge (in
@@ -396,10 +382,11 @@ def run_replications(network: str, seeds: Sequence[int],
     correctness mode that turns any forbidden entropy use into a hard
     failure.  Off by default -- it patches hot global entry points.
 
-    The run self-heals: a seed whose worker crashes is retried once,
-    and a seed that fails its retry too is quarantined -- the report
-    then carries the surviving seeds' metrics with ``degraded=True``
-    and the per-seed errors in ``failures``.  Only a campaign where
+    The run self-heals: a seed whose worker crashes (or dies without a
+    result) is retried once, and a seed that fails its retry too is
+    quarantined -- the report then carries the surviving seeds'
+    metrics with ``degraded=True`` and the per-seed errors in
+    ``failures``.  Only a campaign where
     *every* seed dies raises.  ``checkpoint`` names a
     :class:`CheckpointJournal` file: completed seeds are persisted as
     they land and skipped on the next invocation, so an interrupted
@@ -413,30 +400,25 @@ def run_replications(network: str, seeds: Sequence[int],
     The server is read-only -- results are bit-identical with it on
     or off.
 
-    ``supervision`` swaps the plain process pool for the supervised
-    one (:func:`repro.resilience.supervisor.supervised_map`): workers
-    heartbeat, hung or stalled workers are killed and requeued with
-    backoff, and a worker whose every requeue dies degrades into the
-    same retry-then-quarantine path a crashing worker takes -- a
-    wedged host can slow the campaign but never hang it.  Per-seed
-    results stay bit-identical to an unsupervised run; ``on_kill``
-    observes every watchdog intervention.  Worker-hang/-stall clauses
-    in the fault plan are enforced only under supervision (an
-    unsupervised run must not be able to wedge itself).
-
-    ``shard_executor`` only matters when ``config.shards >= 2``: it
-    picks how each seed's sharded campaign executes (``auto`` /
-    ``serial`` / ``process``) and never changes results, only wall
-    clock.  Sharded seeds record per-shard fingerprints into the
-    checkpoint journal.
+    ``supervision`` arms the pool's watchdogs: hung or stalled
+    workers are killed and requeued with backoff, and a worker whose
+    every requeue dies degrades into the same retry-then-quarantine
+    path a crashing worker takes -- a wedged host can slow the
+    campaign but never hang it.  Without it the watchdogs never fire.
+    Per-seed results are bit-identical either way; ``on_kill``
+    observes every kill.  Worker-hang/-stall clauses in the fault plan
+    are enforced only under supervision (an unsupervised run must not
+    be able to wedge itself).
     """
     if network not in HEADLINE_METRICS:
         raise ValueError(f"unknown network {network!r}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("run_replications needs at least one seed")
     if serve_port is not None and telemetry_dir is None:
         raise ValueError("serve_port requires telemetry_dir (the served "
                          "journals and snapshots live there)")
     metric_fns = HEADLINE_METRICS[network]
-    seeds = list(seeds)
     plan = config.fault_plan
     journal = None
     if checkpoint is not None:
@@ -478,46 +460,39 @@ def run_replications(network: str, seeds: Sequence[int],
 
     def on_result(seed_attempt, outcome: _SeedOutcome) -> None:
         if journal is not None and outcome.ok:
-            journal.record(outcome.seed, outcome.metrics, outcome.snapshot,
-                           shards=outcome.shards)
+            journal.record(outcome.seed, outcome.metrics, outcome.snapshot)
         if hub is not None and outcome.ok and outcome.snapshot:
             hub.record_snapshot(outcome.seed, outcome.snapshot)
 
     worker = functools.partial(_guarded_replicate, network, config, profile,
                                telemetry_dir=telemetry_dir,
                                sanitize=sanitize,
-                               journal_interval_s=journal_interval_s,
-                               shard_executor=shard_executor)
+                               journal_interval_s=journal_interval_s)
 
-    if supervision is not None:
-        hang = plan.worker_hang if plan else None
-        stall = plan.worker_stall if plan else None
+    # hang/stall injections only under watchdogs: nothing else could
+    # ever end an injected hang
+    armed = plan if plan and supervision is not None else None
+    hang = armed.worker_hang if armed else None
+    stall = armed.worker_stall if armed else None
 
-        def intervention(seed_attempt) -> Optional[HostIntervention]:
-            seed, attempt = seed_attempt
-            if hang is not None and hang.should_hang(seed, attempt):
-                return HostIntervention(kind="hang", seconds=hang.hang_s)
-            if stall is not None and stall.should_stall(seed, attempt):
-                return HostIntervention(kind="stall",
-                                        seconds=stall.stall_s)
-            return None
+    def intervention(seed_attempt) -> Optional[HostIntervention]:
+        seed, attempt = seed_attempt
+        if hang is not None and hang.should_hang(seed, attempt):
+            return HostIntervention(kind="hang", seconds=hang.hang_s)
+        if stall is not None and stall.should_stall(seed, attempt):
+            return HostIntervention(kind="stall", seconds=stall.stall_s)
+        return None
 
-        def supervised_failure(seed_attempt, reason: str) -> _SeedOutcome:
-            seed, attempt = seed_attempt
-            return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
-                                error=f"supervision: {reason}")
+    def pool_failure(seed_attempt, reason: str) -> _SeedOutcome:
+        seed, attempt = seed_attempt
+        return _SeedOutcome(seed=seed, attempt=attempt, ok=False,
+                            error=f"supervision: {reason}")
 
-        def fan_out(items):
-            return supervised_map(
-                worker, items,
-                workers=resolve_workers(workers, len(items)),
-                policy=supervision, intervention=intervention,
-                failure=supervised_failure, on_result=on_result,
-                on_kill=on_kill)
-    else:
-        def fan_out(items):
-            return parallel_map(worker, items, workers=workers,
-                                on_result=on_result)
+    def fan_out(items):
+        return supervised_map(
+            worker, items, workers=resolve_workers(workers, len(items)),
+            policy=supervision or _UNWATCHED, intervention=intervention,
+            failure=pool_failure, on_result=on_result, on_kill=on_kill)
 
     pending = [seed for seed in seeds if seed not in completed]
     try:

@@ -70,18 +70,12 @@ class CampaignConfig:
     #: declarative fault schedule; None (the default) runs the campaign
     #: bit-identically to a build without the chaos harness
     fault_plan: Optional[FaultPlan] = None
-    #: kernel shards the campaign runs across; 1 (the default) is the
-    #: plain single-process kernel, N >= 2 routes through the sharded
-    #: driver in :mod:`repro.core.sharded`
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.duration_days <= 0:
             raise ValueError("duration_days must be positive")
         if self.query_interval_s <= 0:
             raise ValueError("query_interval_s must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
 
 @dataclass
@@ -99,9 +93,6 @@ class CampaignResult:
     #: the transport fault injector when a plan was armed (exposes the
     #: per-kind injection tallies)
     faults: Optional[FaultInjector] = None
-    #: the :class:`~repro.core.sharded.ShardReport` when the campaign
-    #: ran sharded; None for the plain single-process kernel
-    shards: Optional[object] = None
 
     @property
     def sim(self) -> Simulator:
@@ -213,23 +204,14 @@ def _run(config: CampaignConfig, world: BuiltWorld, collector,
 def run_limewire_campaign(config: Optional[CampaignConfig] = None,
                           profile: Optional[GnutellaProfile] = None,
                           telemetry: Optional[CampaignTelemetry] = None,
-                          *, attempt: int = 0,
-                          shard_executor: str = "auto") -> CampaignResult:
+                          ) -> CampaignResult:
     """Reproduce the Limewire side of the measurement.
 
     ``telemetry`` threads one :class:`CampaignTelemetry` bundle through
     the kernel, scanner, downloader and collector; results are
     bit-identical with or without it (the journal only reads state).
-    ``config.shards >= 2`` hands the run to the sharded driver;
-    ``attempt`` and ``shard_executor`` only matter there.
     """
     config = config or CampaignConfig()
-    if config.shards > 1:
-        from ..sharded import run_sharded_campaign
-        return run_sharded_campaign("limewire", config, profile=profile,
-                                    telemetry=telemetry,
-                                    executor=shard_executor,
-                                    attempt=attempt)
     profile = profile or GnutellaProfile()
     strains = limewire_strains()
 
@@ -269,20 +251,12 @@ def run_limewire_campaign(config: Optional[CampaignConfig] = None,
 def run_openft_campaign(config: Optional[CampaignConfig] = None,
                         profile: Optional[OpenFTProfile] = None,
                         telemetry: Optional[CampaignTelemetry] = None,
-                        *, attempt: int = 0,
-                        shard_executor: str = "auto") -> CampaignResult:
+                        ) -> CampaignResult:
     """Reproduce the OpenFT side of the measurement.
 
-    ``telemetry`` and the sharded dispatch work exactly as in
-    :func:`run_limewire_campaign`.
+    ``telemetry`` works exactly as in :func:`run_limewire_campaign`.
     """
     config = config or CampaignConfig()
-    if config.shards > 1:
-        from ..sharded import run_sharded_campaign
-        return run_sharded_campaign("openft", config, profile=profile,
-                                    telemetry=telemetry,
-                                    executor=shard_executor,
-                                    attempt=attempt)
     profile = profile or OpenFTProfile()
     strains = openft_strains()
 

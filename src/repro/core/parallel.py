@@ -1,34 +1,19 @@
-"""Process-pool fan-out for multi-seed replication campaigns.
+"""Helpers for multi-seed replication fan-out.
 
 A replication campaign is embarrassingly parallel: every seed builds its
 own world, runs its own simulator and touches no shared state, so seeds
-can run in separate OS processes.  :func:`parallel_map` fans a picklable
-worker over the seed list with a ``ProcessPoolExecutor`` and returns
-results **in input order**, so the merged report is byte-identical to
-the serial path regardless of which seed finishes first.
-
-Degradation is deliberate and silent: ``workers <= 1``, a missing
-``multiprocessing`` implementation (some sandboxes), or a pool that dies
-on startup all fall back to the plain serial loop.  Correctness never
-depends on the pool -- it is a wall-clock optimisation only.
-
-This pool *trusts* its workers: a wedged worker blocks the pool
-forever.  Campaigns that must survive hostile hosts pass
-``supervision=`` to ``run_replications``, which swaps in the
-heartbeat-watchdog pool from :mod:`repro.resilience.supervisor`
-instead -- same input-order result contract, same picklability rules.
+run in separate OS processes through the one worker pool,
+:func:`repro.resilience.supervisor.supervised_map`.  This module holds
+the two pieces the fan-out needs around that pool: how many workers to
+start, and how to fold the workers' telemetry back together.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Iterable, Optional
 
-__all__ = ["resolve_workers", "parallel_map", "merge_worker_registries",
-           "merge_shard_snapshots"]
-
-T = TypeVar("T")
-R = TypeVar("R")
+__all__ = ["resolve_workers", "merge_worker_registries"]
 
 
 def resolve_workers(workers: Optional[int], tasks: int) -> int:
@@ -38,59 +23,6 @@ def resolve_workers(workers: Optional[int], tasks: int) -> int:
     return max(1, min(workers, tasks))
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 workers: Optional[int] = None,
-                 on_result: Optional[Callable[[T, R], None]] = None,
-                 ) -> List[R]:
-    """Map ``fn`` over ``items``, fanning out over processes when possible.
-
-    ``fn`` and every item must be picklable when ``workers > 1`` (the
-    worker function must be defined at module top level).  Results come
-    back in input order.  Any failure to *start* the pool falls back to
-    the serial loop; exceptions raised by ``fn`` itself propagate
-    unchanged in both modes.
-
-    ``on_result(item, result)`` fires as each result lands (in input
-    order) -- the hook incremental checkpointing hangs off.  After a
-    mid-flight pool loss (``BrokenProcessPool``) the surviving work is
-    redone serially and the hook may fire *again* for items that
-    already reported; consumers that persist must deduplicate.
-    """
-    items = list(items)
-
-    def serial() -> List[R]:
-        results = []
-        for item in items:
-            result = fn(item)
-            if on_result is not None:
-                on_result(item, result)
-            results.append(result)
-        return results
-
-    effective = resolve_workers(workers, len(items))
-    if effective <= 1 or len(items) <= 1:
-        return serial()
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        pool = ProcessPoolExecutor(max_workers=effective)
-    except (ImportError, NotImplementedError, OSError, ValueError):
-        return serial()
-    try:
-        results = []
-        for item, result in zip(items, pool.map(fn, items)):
-            if on_result is not None:
-                on_result(item, result)
-            results.append(result)
-        return results
-    except BrokenProcessPool:
-        # workers died before producing results (fork denied, OOM kill,
-        # ...): the computation is pure, so redo it serially
-        return serial()
-    finally:
-        pool.shutdown(wait=True)
-
-
 def merge_worker_registries(parent, snapshots: Iterable[dict]):
     """Fold per-worker ``MetricRegistry`` snapshots into ``parent``.
 
@@ -98,22 +30,9 @@ def merge_worker_registries(parent, snapshots: Iterable[dict]):
     ships back ``registry.snapshot()`` (a plain picklable dict) and the
     parent merges them here **in input order** -- counters and
     histograms sum, gauges keep the max -- making the merged registry
-    identical no matter which worker finished first, the same guarantee
-    :func:`parallel_map` gives for results.  Returns ``parent``.
+    identical no matter which worker finished first.  Returns
+    ``parent``.
     """
     for snapshot in snapshots:
         parent.merge_snapshot(snapshot)
     return parent
-
-
-def merge_shard_snapshots(parent, snapshots: Iterable[dict]):
-    """Fold per-shard telemetry snapshots into the campaign registry.
-
-    The sharded kernel's worker shards (shards 1..N-1, which run
-    telemetry-less except for their shard-labelled tallies) ship the
-    same picklable ``registry.snapshot()`` dicts replication workers
-    do, and the same merge algebra applies -- shards are merged in
-    shard order, so the fold is deterministic.  Distinct ``shard``
-    labels keep per-shard gauges from colliding.  Returns ``parent``.
-    """
-    return merge_worker_registries(parent, snapshots)

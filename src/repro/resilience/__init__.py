@@ -10,13 +10,13 @@ property.  Three stdlib-only layers, importing nothing above them:
   truncates torn tails and quarantines corrupt interior records
   instead of raising.  A SIGKILL at any byte offset of a write loses
   at most the record being written, never a committed one.
-* :mod:`~repro.resilience.supervisor` -- a supervised worker pool.
-  Each task runs in its own OS process that heartbeats over its
-  result pipe; the parent kills workers that stop beating (stall
-  watchdog) or overrun their wall-clock deadline, requeues them with
-  exponential backoff, and degrades to a reportable failure outcome
-  once retries are exhausted -- a permanently hung worker can never
-  block the run forever.
+* :mod:`~repro.resilience.supervisor` -- the worker pool every
+  replication runs through.  Each task runs in its own OS process
+  that heartbeats over its result pipe; the parent kills workers that
+  stop beating (stall watchdog) or overrun their wall-clock deadline,
+  requeues dead or killed workers with exponential backoff, and
+  degrades to a reportable failure outcome once retries are exhausted
+  -- a permanently hung worker can never block the run forever.
 * :mod:`~repro.resilience.doctor` -- the offline repair tool behind
   ``repro-study doctor``: verifies on-disk artifacts, reports what a
   resume would recover, and (with ``repair=True``) truncates torn

@@ -1,11 +1,10 @@
-"""The supervised worker pool: hang-proof process fan-out.
+"""The worker pool: hang-proof process fan-out.
 
-:func:`supervised_map` is the hardened sibling of
-:func:`repro.core.parallel.parallel_map`.  The plain pool trusts its
-workers; this one assumes they can wedge.  Every task runs in its own
-OS process which **heartbeats over its result pipe** while computing;
-the parent multiplexes all pipes with
-:func:`multiprocessing.connection.wait` and enforces two watchdogs:
+:func:`supervised_map` is the one process pool replication runs
+through.  Every task runs in its own OS process which **heartbeats
+over its result pipe** while computing; the parent multiplexes all
+pipes with :func:`multiprocessing.connection.wait` and enforces two
+watchdogs:
 
 * **stall**: no heartbeat for ``stall_timeout_s`` -- the worker is
   wedged (or was SIGSTOPped, or the host faulted it);
@@ -16,9 +15,11 @@ A tripped watchdog SIGKILLs the worker and **requeues** the task with
 exponential backoff; after ``requeues`` kills the task degrades to a
 caller-supplied failure outcome instead of blocking the run -- the
 escalation path ``run_replications`` routes into its existing
-retry-then-quarantine machinery.  Results come back **in input
-order**, so a supervised fan-out merges bit-identically to a plain or
-serial one.
+retry-then-quarantine machinery.  The watchdogs are optional: a
+policy with infinite ``deadline_s`` and ``stall_timeout_s`` never
+kills, yet a worker that dies without a result still takes the same
+requeue-then-failure path.  Results come back **in input order**, so
+every fan-out merges bit-identically to a serial one.
 
 Host-fault *interventions* (hang/stall injections declared by a
 :class:`~repro.faults.plan.FaultPlan`) are applied inside the worker
@@ -29,7 +30,7 @@ is the only component that can cancel an injected hang.
 When worker processes cannot be started at all (sandboxes without
 ``fork``), the pool degrades to a plain in-process loop: supervision
 and interventions are skipped -- correctness never depends on the
-pool, exactly as with ``parallel_map``.
+pool, which is a wall-clock optimisation only.
 """
 
 from __future__ import annotations
@@ -198,8 +199,7 @@ def supervised_map(fn: Callable, items: Sequence,
     :class:`SupervisedKill`.  Returns results in input order.
 
     Worker exceptions propagate as ``RuntimeError`` carrying the child
-    traceback, after every other worker is killed -- matching
-    ``parallel_map``'s fail-fast contract.
+    traceback, after every other worker is killed (fail-fast).
     """
     policy = policy or SupervisionPolicy()
     items = list(items)
@@ -306,6 +306,11 @@ def supervised_map(fn: Callable, items: Sequence,
             now = time.monotonic()
             for index in list(running):
                 run = running[index]
+                if (not run.done and run.error is None
+                        and run.process.exitcode is not None):
+                    # a worker that sent its result and exited after
+                    # the wait above returned is finished, not dead
+                    _drain_messages(run)
                 if run.done:
                     results[run.task.index] = run.result
                     if on_result is not None:

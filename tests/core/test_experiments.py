@@ -68,6 +68,11 @@ class TestRunReplications:
             run_replications("kazaa", seeds=(1,),
                              config=CampaignConfig())
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_replications("limewire", seeds=[],
+                             config=CampaignConfig())
+
 
 class TestSelfHealing:
     @pytest.fixture(scope="class")

@@ -1,14 +1,29 @@
 """Tests for the parallel replication fan-out."""
 
+import multiprocessing.process
+import os
+
 import pytest
 
-from repro.core.experiments import replicate_one, run_replications
+from repro.core.experiments import (_UNWATCHED, replicate_one,
+                                    run_replications)
 from repro.core.measure.campaign import CampaignConfig
-from repro.core.parallel import parallel_map, resolve_workers
+from repro.core.parallel import resolve_workers
 from repro.peers.profiles import GnutellaProfile
+from repro.resilience import supervised_map
 
 
 def _square(value):
+    return value * value
+
+
+def _boom(value):
+    raise RuntimeError("bad seed")
+
+
+def _die_on_two(value):
+    if value == 2:
+        os._exit(3)  # no result, no traceback: the worker just vanishes
     return value * value
 
 
@@ -26,35 +41,59 @@ class TestResolveWorkers:
 
 
 class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
+    """The replication pool as an unsupervised run drives it.
+
+    ``run_replications`` fans every seed out through ``supervised_map``;
+    without ``supervision`` it passes a policy whose watchdogs never
+    fire, so the pool behaves as a plain parallel map.
+    """
+
+    def test_one_worker_runs_every_item(self):
+        assert supervised_map(_square, [1, 2, 3], workers=1,
+                              policy=_UNWATCHED) == [1, 4, 9]
 
     def test_parallel_preserves_input_order(self):
         items = list(range(20))
-        assert parallel_map(_square, items, workers=4) == [
-            i * i for i in items]
+        assert supervised_map(_square, items, workers=4,
+                              policy=_UNWATCHED) == [i * i for i in items]
 
     def test_empty_items(self):
-        assert parallel_map(_square, [], workers=4) == []
+        assert supervised_map(_square, [], workers=4,
+                              policy=_UNWATCHED) == []
 
-    def test_single_item_stays_serial(self):
-        assert parallel_map(_square, [5], workers=4) == [25]
+    def test_single_item(self):
+        assert supervised_map(_square, [5], workers=4,
+                              policy=_UNWATCHED) == [25]
 
     def test_falls_back_when_pool_unavailable(self, monkeypatch):
-        def broken_executor(*args, **kwargs):
+        def no_fork(self):
             raise OSError("no fork for you")
 
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            broken_executor)
-        assert parallel_map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_fork)
+        seen = []
+        results = supervised_map(_square, [1, 2, 3], workers=4,
+                                 policy=_UNWATCHED,
+                                 on_result=lambda item, result:
+                                 seen.append((item, result)))
+        assert results == [1, 4, 9]
+        assert seen == [(1, 1), (2, 4), (3, 9)]
 
     def test_worker_exceptions_propagate(self):
-        def boom(value):
-            raise RuntimeError("bad seed")
+        with pytest.raises(RuntimeError, match="bad seed"):
+            supervised_map(_boom, [1, 2], workers=1, policy=_UNWATCHED)
 
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], workers=1)
+    def test_dead_worker_degrades_without_requeue(self):
+        kills = []
+        results = supervised_map(
+            _die_on_two, [1, 2, 3], workers=2, policy=_UNWATCHED,
+            failure=lambda item, reason: ("failed", item, reason),
+            on_kill=kills.append)
+        assert results[0] == 1 and results[2] == 9
+        failed, item, reason = results[1]
+        assert (failed, item) == ("failed", 2) and "died" in reason
+        assert [(kill.item, kill.requeued) for kill in kills] == [
+            (2, False)]
 
 
 class TestParallelReplications:

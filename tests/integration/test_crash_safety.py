@@ -168,66 +168,97 @@ class TestSupervisedBitIdentity:
         assert supervised == expected
 
 
-SHARD_SEEDS = (1, 2, 3)
+DEATH_SEEDS = (1, 2, 3)
 
 
-def sharded_config(fault_plan=None):
-    return CampaignConfig(seed=0, duration_days=0.02, drain_s=300.0,
-                          shards=2, fault_plan=fault_plan)
+@pytest.fixture
+def death_log(tmp_path, monkeypatch):
+    """Make seed 2's worker die without a result on chosen attempts.
+
+    Every call of the patched ``replicate_one`` logs ``seed attempt
+    pid`` first, so a test can prove which attempts ran and that none
+    ran in the parent.  Forked workers inherit the patch.
+    """
+    from repro.core import experiments
+
+    log = tmp_path / "attempts.log"
+    dying = []
+    original = experiments.replicate_one
+
+    def mortal(network, config, profile, seed, attempt=0, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{seed} {attempt} {os.getpid()}\n")
+        if seed == 2 and attempt in dying:
+            os._exit(9)  # vanish: no result, no traceback
+        return original(network, config, profile, seed, attempt=attempt,
+                        **kwargs)
+
+    monkeypatch.setattr(experiments, "replicate_one", mortal)
+
+    def attempts():
+        lines = log.read_text().split()
+        return [tuple(int(x) for x in lines[i:i + 3])
+                for i in range(0, len(lines), 3)]
+    return dying, attempts
 
 
-def run_sharded_replications(fault_plan=None, checkpoint=None):
+@pytest.fixture
+def no_hang():
+    """Fail instead of hanging if the pool never returns."""
+    def expire(signum, frame):
+        raise TimeoutError("replication pool hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(240)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def run_death_replications():
     return run_replications(
-        "limewire", seeds=SHARD_SEEDS, config=sharded_config(fault_plan),
-        profile=PROFILE, workers=1, checkpoint=checkpoint,
-        shard_executor="process")
+        "limewire", seeds=DEATH_SEEDS,
+        config=CampaignConfig(seed=0, duration_days=0.02, drain_s=300.0),
+        profile=PROFILE, workers=2)
 
 
-class TestShardWorkerKill:
-    """A SIGKILLed shard worker takes the retry/quarantine path.
+class TestWorkerDeath:
+    """An unsupervised worker that dies without a result.
 
-    The ShardCrash host clause makes the executor SIGKILL its own
-    shard-1 worker a few barrier rounds into the campaign; the
-    replication supervisor must treat the dead seed like any crashed
-    worker -- retry once, quarantine if the retry dies too -- and the
-    surviving seeds' results must be byte-identical to a run with no
-    chaos at all (host clauses are non-scientific by construction).
+    The run has no watchdogs, but the pool still notices a worker that
+    exits resultless: the seed takes the retry-then-quarantine path,
+    always in a fresh worker process, never redone in the parent.
     """
 
-    def test_killed_shard_retries_to_clean_result(self, tmp_path):
-        from repro.faults import FaultPlan, ShardCrash
-
-        clean = run_sharded_replications()
-        journal = tmp_path / "shardkill.jsonl"
-        plan = FaultPlan(shard_crash=ShardCrash(
-            seeds=(2,), attempts=1, shard=1, after_windows=3))
-        report = run_sharded_replications(plan, checkpoint=journal)
-        # attempt 0 died mid-window, the retry (attempt 1) completed
+    def test_dead_worker_retries_to_clean_result(self, death_log, no_hang):
+        dying, attempts = death_log
+        clean = run_death_replications()
+        dying.append(0)
+        report = run_death_replications()
+        # attempt 0 died, the retry (attempt 1) completed bit-identically
         assert not report.degraded
-        assert report.completed_seeds == SHARD_SEEDS
+        assert report.completed_seeds == DEATH_SEEDS
         for name, summary in clean.metrics.items():
             assert report.metrics[name].values == summary.values, name
-        # per-shard fingerprints landed in the checkpoint journal
-        records = scan_frames(journal).records
-        by_seed = {r["seed"]: r for r in records if r.get("kind") == "seed"}
-        assert set(by_seed) == set(SHARD_SEEDS)
-        for seed in SHARD_SEEDS:
-            shards = by_seed[seed]["shards"]
-            assert [entry["shard"] for entry in shards] == [0, 1]
+        chaos = attempts()[len(DEATH_SEEDS):]
+        assert sorted((seed, attempt) for seed, attempt, _ in chaos) == [
+            (1, 0), (2, 0), (2, 1), (3, 0)]
+        assert os.getpid() not in {pid for _, _, pid in chaos}
 
-    def test_killed_shard_quarantines_after_retry(self):
-        from repro.faults import FaultPlan, ShardCrash
-
-        clean = run_sharded_replications()
-        plan = FaultPlan(shard_crash=ShardCrash(
-            seeds=(2,), attempts=2, shard=1, after_windows=3))
-        report = run_sharded_replications(plan)
+    def test_dead_worker_quarantines_after_retry(self, death_log, no_hang):
+        dying, attempts = death_log
+        clean = run_death_replications()
+        dying.extend([0, 1])
+        report = run_death_replications()
         # both attempts died: seed 2 quarantined, the campaign degrades
         assert report.degraded
         assert report.completed_seeds == (1, 3)
         assert [failure.seed for failure in report.failures] == [2]
-        assert "shard 1" in report.failures[0].error
-        # the surviving seeds' metrics are untouched by the chaos
+        assert "died" in report.failures[0].error
         for name, summary in clean.metrics.items():
             survivors = (summary.values[0], summary.values[2])
             assert report.metrics[name].values == survivors, name
+        chaos = attempts()[len(DEATH_SEEDS):]
+        assert sorted((seed, attempt) for seed, attempt, _ in chaos) == [
+            (1, 0), (2, 0), (2, 1), (3, 0)]
+        assert os.getpid() not in {pid for _, _, pid in chaos}
