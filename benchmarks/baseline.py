@@ -10,18 +10,8 @@ target --
   window* over the *identical workload*, so ``events_per_sec`` and
   ``events_per_sec_telemetry`` are directly comparable and the
   overhead ratio is immune to machine-load drift (gated in CI via
-  ``--assert-overhead``).  Timers land 1..1000 s out, so the leg
-  exercises the tiered scheduler's wheel level 0 and the bulk
-  slot-absorption path into the calendar window as the clock chases
-  the horizon -- not the window alone;
-* **scheduler A/B**: the same cancel-heavy program pushed through the
-  tiered scheduler and the reference binary heap, interleaved in one
-  window, timing push+cancel+drain end to end (where O(1) lazy
-  cancellation pays off).  Its mixed workload spans every tier:
-  calendar window, wheel levels 0-1 and the overflow bucket.  The two
-  drain orders are asserted identical pair-by-pair and a campaign-level
-  equivalence check (event digest + measurement-store sha256, fast vs
-  reference twins) rides along in the same run;
+  ``--assert-overhead``).  Past half dead, the heap compacts itself,
+  so the leg also times the compaction sweep;
 * **data-plane msgs/sec**: framed Gnutella fan-out through the
   transport -- encode-once + header re-stamp per hop, ``send_many``
   delivery -- with the frame-cache hit rate, the tracemalloc-measured
@@ -105,7 +95,7 @@ def bench_kernel(total: int) -> dict:
         events = [sim.at(float(i % 1000) + 1.0, fire, label="bench")
                   for i in range(total)]
         # churn: cancel 3 of every 5 timers -- past the 50% dead
-        # fraction, so tombstone purging kicks in on both twins
+        # fraction, so the heap compacts
         for index, event in enumerate(events):
             if index % 5 < 3:
                 sim.cancel(event)
@@ -139,82 +129,6 @@ def bench_kernel(total: int) -> dict:
         "telemetry_overhead_pct": ((telemetry_s - plain_s) / plain_s
                                    * 100.0 if plain_s else 0.0),
         "telemetry_sampled_callbacks": sampled.count if sampled else 0,
-    }
-
-
-def bench_scheduler(total: int, days: float) -> dict:
-    """Cancel-heavy scheduler A/B: tiered queue vs reference heap.
-
-    Both twins execute the identical program -- push ``total`` timers,
-    cancel 7 of every 10, drain to empty -- with the legs interleaved
-    in one measurement window, timing push+cancel+drain end to end so
-    the tiered queue's O(1) lazy cancellation (whole tombstone buckets
-    dropped without sifting) shows up against the heap's compaction
-    sweeps.  The workload is spread across every tier: most timers land
-    in wheel level 0 (up to ~4000 s out), a sprinkle in level 1, and
-    the drain migrates them through the calendar window.  Each
-    repetition asserts the two drain orders identical pair-by-pair;
-    afterwards a full campaign replays on both scheduler twins via
-    ``run_equivalence_check`` and the event digests, measurement-store
-    sha256 and headline metrics must match -- throughput and
-    behaviour-preservation proved in the same run.
-    """
-    from repro.devtools.selfcheck import run_equivalence_check
-    from repro.simnet.events import EventQueue
-    from repro.simnet.sched import TieredEventQueue
-
-    # Weyl-style deterministic scatter over 0..4000 s: wheel level 0
-    # territory, no entropy source needed
-    times = [((index * 2654435761) % 4_000_000) / 1000.0
-             for index in range(total)]
-    for index in range(0, total, 97):
-        times[index] = 50_000.0 + float(index)  # wheel level 1
-
-    def fire() -> None:
-        pass
-
-    def one_leg(queue):
-        start = time.perf_counter()
-        events = [queue.push(when, fire) for when in times]
-        for index, event in enumerate(events):
-            if index % 10 < 7:
-                queue.cancel(event)
-        order = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            order.append((event.time, event.seq))
-        return time.perf_counter() - start, order
-
-    tiered_times, heap_times = [], []
-    for _ in range(3):
-        elapsed, tiered_order = one_leg(TieredEventQueue())
-        tiered_times.append(elapsed)
-        elapsed, heap_order = one_leg(EventQueue())
-        heap_times.append(elapsed)
-        if tiered_order != heap_order:
-            raise AssertionError(
-                "tiered scheduler drain order diverged from the "
-                "reference heap")
-    tiered_s = min(tiered_times)
-    heap_s = min(heap_times)
-
-    # behaviour-preservation leg: one campaign on each scheduler twin,
-    # compared down to the event stream and collected bytes (sanitizer
-    # off, as everywhere in this file -- it patches hot paths)
-    check = run_equivalence_check("limewire", seed=3, days=days,
-                                  sanitize=False)
-    if not check.ok:
-        raise AssertionError(
-            "scheduler fast path diverged from the reference heap:\n"
-            + check.render())
-
-    return {
-        "scheduler_events_per_sec": total / tiered_s if tiered_s else 0.0,
-        "scheduler_ref_events_per_sec": total / heap_s if heap_s else 0.0,
-        "scheduler_speedup": heap_s / tiered_s if tiered_s else 0.0,
-        "scheduler_equivalence_events": check.events,
     }
 
 
@@ -636,14 +550,6 @@ def run(quick: bool, workers: int) -> dict:
           f"(overhead {results['telemetry_overhead_pct']:+.1f}%, "
           f"{results['queue_compactions']} compactions, "
           f"{results['telemetry_sampled_callbacks']} sampled callbacks)")
-    print("benchmarking scheduler A/B (tiered vs reference heap)...",
-          flush=True)
-    results.update(bench_scheduler(20_000 if quick else 200_000,
-                                   days=0.02 if quick else 0.05))
-    print(f"  {results['scheduler_events_per_sec']:,.0f} events/sec "
-          f"tiered vs {results['scheduler_ref_events_per_sec']:,.0f} "
-          f"heap ({results['scheduler_speedup']:.2f}x, drain order + "
-          f"campaign equivalence asserted)")
     print("benchmarking data plane...", flush=True)
     results.update(bench_dataplane(5_000 if quick else 50_000))
     print(f"  {results['dataplane_msgs_per_sec']:,.0f} msgs/sec "

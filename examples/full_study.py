@@ -114,7 +114,9 @@ def main() -> None:
     print(reports.render_t3_top_malware(limewire.store), end="\n\n")
     print(reports.render_t3_top_malware(openft.store), end="\n\n")
 
-    top_ft = top_malware(openft.store)[0].name
+    # a short run can leave the OpenFT store without malware
+    ft_rows = top_malware(openft.store)
+    top_ft = ft_rows[0].name if ft_rows else None
     print(reports.render_t4_sources(limewire.store), end="\n\n")
     print(reports.render_t4_sources(openft.store, top_strain=top_ft),
           end="\n\n")

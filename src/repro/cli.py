@@ -318,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "entropy sanitizer")
     selfcheck.add_argument("--equivalence", action="store_true",
                            help="additionally re-run every seed on the "
-                                "reference (slow) data plane and demand "
-                                "identical event digests, store sha256 "
-                                "and headline metrics")
+                                "reference data plane (per-send re-encode, "
+                                "eager decode, closure deliveries) and "
+                                "demand identical event digests, store "
+                                "sha256 and headline metrics")
     selfcheck.add_argument("--lock-order", action="store_true",
                            help="instead of the digest check, record "
                                 "every lock acquisition while a "
@@ -379,7 +380,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    from .core.experiments import run_replications
+    from .core.experiments import CheckpointMismatch, run_replications
     from .core.parallel import resolve_workers
 
     if args.seeds < 1:
@@ -414,17 +415,18 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
           f"{'s' if workers != 1 else ''}"
           f"{', supervised' if supervision else ''})...")
     kills = []
-    report = run_replications(args.network, seeds, config,
-                              workers=workers,
-                              telemetry_dir=args.telemetry_dir,
-                              sanitize=args.sanitize,
-                              checkpoint=args.checkpoint,
-                              journal_interval_s=args.journal_interval,
-                              serve_port=args.serve_port,
-                              on_serve=lambda url: print(
-                                  f"observability endpoint: {url}"),
-                              supervision=supervision,
-                              on_kill=kills.append)
+    try:
+        report = run_replications(
+            args.network, seeds, config, workers=workers,
+            telemetry_dir=args.telemetry_dir, sanitize=args.sanitize,
+            checkpoint=args.checkpoint,
+            journal_interval_s=args.journal_interval,
+            serve_port=args.serve_port,
+            on_serve=lambda url: print(f"observability endpoint: {url}"),
+            supervision=supervision, on_kill=kills.append)
+    except CheckpointMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for kill in kills:
         seed, attempt = kill.item
         print(f"supervisor: killed seed {seed} attempt {attempt} "
@@ -750,7 +752,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     print(report.render())
     ok = report.ok
     if args.equivalence:
-        print("\nfast-path vs reference-path equivalence:")
+        print("\nfast vs reference data plane equivalence:")
         for seed in seeds:
             check = run_equivalence_check(
                 network=args.network, seed=seed, days=args.days,

@@ -31,8 +31,8 @@ from .measure.campaign import (CampaignConfig, CampaignResult,
 from .parallel import merge_worker_registries, resolve_workers
 
 __all__ = ["MetricSummary", "ReplicationReport", "HEADLINE_METRICS",
-           "SeedFailure", "CheckpointJournal", "replicate_one",
-           "run_replications"]
+           "SeedFailure", "CheckpointJournal", "CheckpointMismatch",
+           "replicate_one", "run_replications"]
 
 MetricFn = Callable[[CampaignResult], float]
 
@@ -249,6 +249,10 @@ def _experiment_fingerprint(network: str, config: CampaignConfig,
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
+class CheckpointMismatch(ValueError):
+    """A checkpoint file that this experiment must not resume."""
+
+
 class CheckpointJournal:
     """Crash-safe journal of completed replication seeds.
 
@@ -301,10 +305,11 @@ class CheckpointJournal:
                                    "fingerprint": self.fingerprint})
             return
         if entries[0].get("kind") != "header":
-            raise ValueError(f"{self.path}: not a replication checkpoint")
+            raise CheckpointMismatch(
+                f"{self.path}: not a replication checkpoint")
         found = entries[0].get("fingerprint")
         if found != self.fingerprint:
-            raise ValueError(
+            raise CheckpointMismatch(
                 f"{self.path}: checkpoint was written by a different "
                 f"experiment configuration (its fingerprint "
                 f"{str(found)[:12]}... does not match this run's "

@@ -1,11 +1,11 @@
 """Twin registry + drift checker (TWN001).
 
-The fast paths (PRs 5-6) are only trustworthy because every one of
-them has a reference twin proven bit-identical at runtime: the tiered
-scheduler vs the binary heap, the zero-copy ``_on_envelope`` vs the
-eager-decode ``_on_envelope_reference``, ``patch_ttl_hops`` vs a full
-re-encode.  Runtime equivalence is a *late* signal though -- you learn
-about drift from a digest mismatch three layers away.  This pass makes
+The data-plane fast paths are only trustworthy because every one of
+them has a reference twin proven bit-identical at runtime: the
+zero-copy ``_on_envelope`` vs the eager-decode
+``_on_envelope_reference``, ``patch_ttl_hops`` vs a full re-encode.
+Runtime equivalence is a *late* signal though -- you learn about drift
+from a digest mismatch three layers away.  This pass makes
 the pairing a declared, versioned contract: ``pyproject.toml`` carries
 a ``[tool.detlint.twins]`` table naming every pair and the *mirror
 obligations* both sides must keep satisfying, and the checker projects
@@ -26,15 +26,8 @@ Obligations (each projects a function/class body to a set of strings):
 ``guards``
     exception types caught (``except MessageError:`` on both sides).
 ``raises``
-    exception types raised (the kernel loop twins must both refuse a
-    backwards clock with ``ValueError``).
-``sinks``
-    calls into the fixed effect vocabulary (scheduling, callback
-    delivery, telemetry hooks, sends) -- the instrumented drain loop
-    must deliver through exactly the calls the plain loop does.
-``api``
-    public method names of a class pair (the drain contract:
-    ``EventQueue`` and ``TieredEventQueue`` expose the same surface).
+    exception types raised (``patch_ttl_hops`` must refuse what
+    ``frame`` refuses).
 
 Members are written ``"pkg.module:Qual.name"``; a member that cannot
 be resolved is itself a TWN001 (a renamed twin must rename its
@@ -53,18 +46,12 @@ __all__ = ["TwinPair", "TwinMember", "parse_twins", "check_twins",
            "OBLIGATIONS"]
 
 #: twin-implementation suffixes stripped before comparing names
-_TWIN_SUFFIXES = ("_raw", "_reference", "_windowed", "_fast", "_slow")
-
-#: the effect vocabulary the ``sinks`` obligation projects onto
-_SINK_VOCAB = frozenset({
-    "push", "cancel", "at", "after", "every", "schedule",
-    "callback", "observe_callback", "on_event", "send", "send_many",
-})
+_TWIN_SUFFIXES = ("_raw", "_reference", "_fast", "_slow")
 
 #: handler-dispatch wildcard produced by getattr(self, f"_handle_...")
 _WILDCARD = "_handle_*"
 
-OBLIGATIONS = ("counters", "handlers", "guards", "raises", "sinks", "api")
+OBLIGATIONS = ("counters", "handlers", "guards", "raises")
 
 
 @dataclass(frozen=True)
@@ -187,8 +174,6 @@ def _exc_names(node: Optional[ast.AST]) -> Iterator[str]:
 
 
 def _project(node: ast.AST, obligation: str) -> FrozenSet[str]:
-    if obligation == "api":
-        return _project_api(node)
     out: set = set()
     for sub in ast.walk(node):
         if obligation == "counters" and isinstance(sub, ast.AugAssign):
@@ -206,10 +191,6 @@ def _project(node: ast.AST, obligation: str) -> FrozenSet[str]:
             out.update(_exc_names(sub.type))
         elif obligation == "raises" and isinstance(sub, ast.Raise):
             out.update(_exc_names(sub.exc))
-        elif obligation == "sinks" and isinstance(sub, ast.Call):
-            name = _terminal(sub.func)
-            if name in _SINK_VOCAB:
-                out.add(name)
     return frozenset(out)
 
 
@@ -224,17 +205,6 @@ def _is_wildcard_dispatch(node: ast.Call) -> bool:
         return isinstance(head, ast.Constant) and \
             isinstance(head.value, str) and head.value.startswith("_handle")
     return False
-
-
-def _project_api(node: ast.AST) -> FrozenSet[str]:
-    if isinstance(node, ast.ClassDef):
-        return frozenset(
-            item.name for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not item.name.startswith("_"))
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return frozenset({_strip_suffix(node.name)})
-    return frozenset()
 
 
 def _handlers_match(sides: Sequence[FrozenSet[str]]) -> bool:

@@ -46,9 +46,8 @@ class Event:
     label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
     args: Tuple[Any, ...] = field(default=(), compare=False)
-    #: owning bucket/slot cell in the tiered scheduler (see
-    #: :mod:`repro.simnet.sched`); None while heap-queued or after the
-    #: event fired.  The heap twin never reads or writes it.
+    #: the queue holding this event while it is pending; None once it
+    #: fired or was cancelled, so a late cancel leaves the counters alone
     _home: Any = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
@@ -73,9 +72,7 @@ class EventQueue:
         self._live = 0
         self._dead = 0  # cancelled events still sitting in the heap
         self.compactions = 0
-        #: events ever cancelled through this queue (monotonic; the
-        #: tiered scheduler twin keeps the same counter, so telemetry
-        #: accounting is identical whichever scheduler a run used)
+        #: events ever cancelled through this queue (monotonic)
         self.cancelled_total = 0
 
     def __len__(self) -> int:
@@ -102,9 +99,8 @@ class EventQueue:
         """Cancel ``event`` and keep the live count right (idempotent).
 
         Cancelling an event that already fired (or was never queued
-        here) marks it but leaves the counters alone -- the scheduler
-        twins share this rule, so ``cancelled_total`` / ``dead_events``
-        agree whichever scheduler a run used.
+        here) marks it but leaves the counters alone, so
+        ``cancelled_total`` and ``dead_events`` count queued events only.
         """
         if not event.cancelled:
             event.cancel()
@@ -174,28 +170,11 @@ class EventQueue:
         """Cancelled events still occupying the heap (telemetry gauge)."""
         return self._dead
 
-    @property
-    def near_depth(self) -> int:
-        """Live events in the (single) near tier.
-
-        The heap has one tier, so every live event is "near"; the
-        tiered twin splits the same total across its calendar window
-        and wheel.  Both twins therefore satisfy the telemetry
-        invariant ``near_depth + wheel_depth == len(queue)``.
-        """
-        return self._live
-
-    @property
-    def wheel_depth(self) -> int:
-        """Live events in far tiers: always 0, the heap has no wheel."""
-        return 0
-
     def iter_entries(self):
         """Yield every queued ``(time, seq, event)`` entry, unordered.
 
-        Introspection for tests and debugging only -- both scheduler
-        twins expose it, so callers need not know which one a
-        ``Simulator`` picked.  Tombstoned entries are included.
+        Introspection for tests and debugging only.  Tombstoned
+        entries are included.
         """
         yield from self._heap
 

@@ -1,7 +1,10 @@
 """Process-wide switch between the data-plane fast path and its twin.
 
-The data plane (transport scheduling, Gnutella/OpenFT envelope handling)
-has two implementations:
+The data plane has two implementations, selected once when a
+:class:`~repro.simnet.transport.Transport`,
+:class:`~repro.gnutella.servent.GnutellaServent` or
+:class:`~repro.openft.nodes.OpenFTNode` is constructed -- nothing else
+reads the flag:
 
 * the **fast path** (default): encode-once fan-out with ttl/hops header
   patching, lazy body decode, allocation-lean args-carrying delivery
@@ -13,17 +16,16 @@ has two implementations:
 Both paths draw the same random numbers in the same order and schedule
 the same events under the same labels, so a campaign run is
 byte-identical either way -- same store sha256, same headline metrics,
-same kernel :class:`~repro.devtools.sanitizer.EventDigest`.  The
-equivalence tests, the selfcheck ``--compare-slow-path`` mode and the
-``bench_dataplane`` leg all assert exactly that.
+same kernel :class:`~repro.devtools.sanitizer.EventDigest`.
+``repro-study selfcheck --equivalence``,
+``tests/integration/test_dataplane_equivalence.py`` and the
+``bench_dataplane`` leg of ``benchmarks/baseline.py`` assert exactly
+that.
 
 The switch is a plain module flag, *not* an environment variable:
-``src/`` never reads ``os.environ`` (detlint DET006).  Test drivers
-that advertise a ``REPRO_SLOW_PATH=1`` knob read the environment on
-their side and call :func:`set_slow_path` before building the world.
-Components sample the flag at construction time, so flip it before
-creating a :class:`~repro.simnet.transport.Transport` or any protocol
-node -- never mid-run.
+``src/`` never reads ``os.environ`` (detlint DET006).  Flip it with
+:func:`set_slow_path` or :class:`use_slow_path` before building the
+world -- never mid-run.
 """
 
 from __future__ import annotations

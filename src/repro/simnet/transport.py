@@ -98,7 +98,7 @@ class Transport:
         self._endpoints: Dict[str, Endpoint] = {}
         self._stream = sim.stream("transport")
         #: sampled at construction: True routes sends through the
-        #: closure-allocating reference scheduler (see simnet.fastpath)
+        #: closure-allocating reference send path (see simnet.fastpath)
         self._slow = fastpath.slow_path_enabled()
         self.delivered = 0
         #: per-cause drop tally; ``dropped`` sums it (see DROP_CAUSES)

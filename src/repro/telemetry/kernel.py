@@ -59,23 +59,11 @@ class KernelTelemetry:
             "Cancelled events still occupying the scheduler.")
         self._compactions = self.registry.gauge(
             "sim_queue_compactions",
-            "Bulk tombstone purges (heap rebuilds / whole-cell drops) "
-            "since the queue was created.")
+            "Heap rebuilds that purged cancelled events since the "
+            "queue was created.")
         self._cancelled = self.registry.gauge(
             "sim_queue_cancelled_total",
-            "Events ever cancelled through the queue (monotonic; "
-            "identical across scheduler twins).")
-        # per-tier depth split of sim_queue_depth; both scheduler twins
-        # expose the split (the heap reports everything as near) and
-        # near + wheel == depth holds whichever twin a run used
-        self._near_depth = self.registry.gauge(
-            "sim_queue_near_depth",
-            "Live events in the scheduler's near tier (the tiered "
-            "queue's calendar window; all live events on the heap).")
-        self._wheel_depth = self.registry.gauge(
-            "sim_queue_wheel_depth",
-            "Live events in far tiers (tiered queue's wheel levels "
-            "and overflow; always 0 on the heap).")
+            "Events ever cancelled through the queue (monotonic).")
         self._virtual_time = self.registry.gauge(
             "sim_virtual_time_seconds", "Current virtual clock reading.")
         self.registry.gauge(
@@ -105,10 +93,5 @@ class KernelTelemetry:
         self._queue_depth.set(len(queue))
         self._queue_dead.set(queue.dead_events)
         self._compactions.set(queue.compactions)
-        self._cancelled.set(getattr(queue, "cancelled_total", 0))
-        # both scheduler twins expose the tier split directly; the heap
-        # counts every live event as near so the near + wheel == depth
-        # invariant holds on the reference twin too
-        self._near_depth.set(queue.near_depth)
-        self._wheel_depth.set(queue.wheel_depth)
+        self._cancelled.set(queue.cancelled_total)
         self._virtual_time.set(sim.now)

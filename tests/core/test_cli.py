@@ -74,6 +74,21 @@ class TestReplicate:
         assert len(journal.read_text().splitlines()) == 2  # ...or re-logged
         assert "prevalence" in capsys.readouterr().out
 
+    def test_checkpoint_of_another_configuration_is_refused(self, tmp_path,
+                                                            capsys):
+        journal = tmp_path / "stale.jsonl"
+        base = ["replicate", "--network", "limewire", "--seeds", "1",
+                "--workers", "1", "--checkpoint", str(journal)]
+        assert main(base + ["--days", "0.01"]) == 0
+        written = journal.read_bytes()
+        capsys.readouterr()
+        assert main(base + ["--days", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "different experiment configuration" in err
+        assert "Traceback" not in err
+        assert journal.read_bytes() == written  # refused, not rewritten
+
 
 class TestChaos:
     def test_parser_defaults(self):

@@ -189,16 +189,16 @@ class TestParseTwins:
     def test_registry_roundtrip(self):
         pairs = parse_twins({
             "queue": {"members": ["repro.simnet.a:A", "repro.simnet.b:B"],
-                      "obligations": ["api", "raises"]},
+                      "obligations": ["guards", "raises"]},
         })
         assert len(pairs) == 1
         assert pairs[0].name == "queue"
-        assert pairs[0].obligations == ("api", "raises")
+        assert pairs[0].obligations == ("guards", "raises")
 
     def test_single_member_rejected(self):
         with pytest.raises(ValueError, match="two members"):
             parse_twins({"solo": {"members": ["repro.x:A"],
-                                  "obligations": ["api"]}})
+                                  "obligations": ["raises"]}})
 
     def test_unknown_obligation_rejected(self):
         with pytest.raises(ValueError, match="unknown obligation"):
@@ -208,7 +208,7 @@ class TestParseTwins:
     def test_bad_member_spec_rejected(self):
         with pytest.raises(ValueError, match="pkg.module:Qual.name"):
             parse_twins({"p": {"members": ["no-colon", "repro.x:B"],
-                               "obligations": ["api"]}})
+                               "obligations": ["raises"]}})
 
 
 class TestRealRegistry:
@@ -220,7 +220,9 @@ class TestRealRegistry:
         from repro.devtools.detlint import collect_modules, load_config
         root = Path(__file__).resolve().parents[2]
         config = load_config(root)
-        assert len(config.twins) >= 5, "twin registry went missing"
+        assert {pair.name for pair in config.twins} == {
+            "gnutella-envelope", "openft-envelope", "frame-patch"}, \
+            "twin registry went missing"
         modules = collect_modules(config)
         findings = [f for f in check_twins(modules, config.twins)]
         assert findings == []

@@ -34,21 +34,6 @@ class TestEventQueue:
         queue.note_cancelled()
         assert len(queue) == 1
 
-    def test_tier_split_is_all_near(self):
-        # the heap has no wheel: near_depth mirrors the live depth and
-        # wheel_depth is 0, so near + wheel == depth holds on this twin
-        # exactly as it does on the tiered queue
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(1_000_000.0, lambda: None)  # far future: still near
-        assert queue.near_depth == 2
-        assert queue.wheel_depth == 0
-        assert queue.near_depth + queue.wheel_depth == len(queue)
-        event.cancel()
-        queue.note_cancelled()
-        assert queue.near_depth == 1
-        assert queue.near_depth + queue.wheel_depth == len(queue)
-
     def test_cancelled_events_skipped(self):
         queue = EventQueue()
         fired = []

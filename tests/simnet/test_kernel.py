@@ -1,8 +1,26 @@
-"""Tests for the simulation kernel."""
+"""Tests for the simulation kernel.
+
+``run_until`` has one drain loop with a telemetry branch on it, so
+every scheduling case runs three times: plain, with a
+``KernelTelemetry`` (sampling every other callback) and with a
+telemetry object carrying the per-event ``on_event`` hook.
+"""
 
 import pytest
 
+from repro.devtools.sanitizer import digest_telemetry
 from repro.simnet.kernel import Simulator
+from repro.telemetry import KernelTelemetry, MetricRegistry
+
+from ..conftest import SUITE_SEED
+
+#: the instrumented inputs of the drain loop (the plain one is the
+#: suite-wide ``sim`` fixture)
+TELEMETRY = {
+    "kernel-telemetry": lambda: KernelTelemetry(MetricRegistry(),
+                                                sample_every=2),
+    "on-event": digest_telemetry,
+}
 
 
 class TestScheduling:
@@ -56,13 +74,43 @@ class TestScheduling:
             sim.after(1.0, lambda: None)
         processed = sim.run_until(2.0, max_events=3)
         assert processed == 3
+        assert len(sim.queue) == 7
 
     def test_halt_stops_loop(self, sim):
         fired = []
         sim.after(1.0, lambda: (fired.append(1), sim.halt()))
         sim.after(2.0, lambda: fired.append(2))
-        sim.run_until(10.0)
+        assert sim.run_until(10.0) == 1
         assert fired == [1]
+        assert sim.now == 1.0  # a halted drain does not jump the clock
+        assert len(sim.queue) == 1
+        assert sim.run_until(10.0) == 1  # the next call resumes
+        assert fired == [1, 2]
+        assert sim.now == 10.0
+
+    def test_event_scheduled_at_now_fires_in_seq_order(self, sim):
+        log = []
+
+        def first():
+            log.append("first")
+            # same instant as the queued 'second': fires after it
+            # (higher seq), before 'third'
+            sim.at(sim.now, lambda: log.append("inserted"))
+
+        sim.at(1.0, first)
+        sim.at(1.0, lambda: log.append("second"))
+        sim.at(2.0, lambda: log.append("third"))
+        sim.run_all()
+        assert log == ["first", "second", "inserted", "third"]
+
+    def test_cancel_from_inside_callback(self, sim):
+        log = []
+        victim = sim.at(1.5, lambda: log.append("victim"))
+        sim.at(1.0, lambda: sim.cancel(victim))
+        sim.at(2.0, lambda: log.append("after"))
+        assert sim.run_until(10.0) == 2
+        assert log == ["after"]
+        assert sim.queue.cancelled_total == 1
 
     def test_nested_scheduling_inside_event(self, sim):
         order = []
@@ -102,6 +150,15 @@ class TestScheduling:
         sim.run_until(10.0)
         assert fired == [1, 2]
         assert sim.now == 10.0
+
+
+class TestSchedulingWithTelemetry(TestScheduling):
+    """Every scheduling case again, down the loop's telemetry branch."""
+
+    @pytest.fixture(params=sorted(TELEMETRY))
+    def sim(self, request):
+        return Simulator(seed=SUITE_SEED,
+                         telemetry=TELEMETRY[request.param]())
 
 
 class TestEvery:
@@ -151,3 +208,40 @@ class TestDeterminism:
         sim.after(1.0, lambda: None)
         sim.run_until(5.0)
         assert sim.events_processed == 2
+
+    def test_cancel_heavy_program_same_with_telemetry_on_and_off(self):
+        """Telemetry watches the drain; it never changes what fires."""
+
+        def run(telemetry):
+            sim = Simulator(seed=5, telemetry=telemetry)
+            stream = sim.stream("load")
+            fired = []
+
+            def tick(i):
+                fired.append((sim.now, i))
+                if i % 3 == 0:
+                    handle = sim.after(stream.uniform(0.1, 400.0),
+                                       lambda: fired.append((sim.now, "r")),
+                                       label="retry")
+                    if i % 6 == 0:
+                        sim.cancel(handle)
+                if i % 7 == 0:
+                    sim.after(stream.uniform(0.0, 0.5),
+                              lambda: fired.append((sim.now, "d")),
+                              label="deliver")
+
+            for i in range(300):
+                sim.at(stream.uniform(0.0, 200.0), lambda i=i: tick(i),
+                       label="seed")
+            sim.run_until(50.0)
+            sim.run_all()
+            return fired, sim.now, sim.events_processed
+
+        plain = run(None)
+        assert plain[2] == len(plain[0]) > 300
+        kernel = TELEMETRY["kernel-telemetry"]()
+        digest = TELEMETRY["on-event"]()
+        assert run(kernel) == plain
+        assert run(digest) == plain
+        assert sum(kernel.label_counts.values()) == plain[2]
+        assert digest.digest.events == plain[2]  # on_event saw every event

@@ -85,24 +85,6 @@ class TestGauges:
         assert (registry.get("sim_queue_dead_events").value
                 == sim.queue.dead_events)
 
-    def test_per_tier_depth_gauges_split_queue_depth(self, registry):
-        from repro.simnet.sched import NEAR_SPAN, TieredEventQueue
-
-        telemetry = KernelTelemetry(registry)
-        sim = Simulator(seed=3, telemetry=telemetry)
-        assert isinstance(sim.queue, TieredEventQueue)
-        for offset in range(3):  # calendar window
-            sim.at(1.0 + offset, lambda: None, label="near")
-        for offset in range(2):  # wheel levels
-            sim.at(NEAR_SPAN * 10 + offset * 100.0, lambda: None,
-                   label="far")
-        sim.run_until(0.5)
-        near = registry.get("sim_queue_near_depth").value
-        wheel = registry.get("sim_queue_wheel_depth").value
-        assert near == 3
-        assert wheel == 2
-        assert near + wheel == registry.get("sim_queue_depth").value
-
     def test_cancelled_total_gauge_counts_cancels(self, registry):
         telemetry = KernelTelemetry(registry)
         sim = Simulator(seed=3, telemetry=telemetry)
@@ -115,26 +97,6 @@ class TestGauges:
         assert registry.get("sim_queue_cancelled_total").value == 5
         assert (registry.get("sim_queue_cancelled_total").value
                 == sim.queue.cancelled_total)
-
-    def test_heap_twin_tier_split_is_all_near(self, registry):
-        # the heap has no wheel: every live event is near, so the
-        # near + wheel == depth invariant holds on this twin too
-        from repro.simnet import fastpath
-        from repro.simnet.events import EventQueue
-
-        telemetry = KernelTelemetry(registry)
-        fastpath.set_slow_path(True)
-        try:
-            sim = Simulator(seed=3, telemetry=telemetry)
-        finally:
-            fastpath.set_slow_path(False)
-        assert isinstance(sim.queue, EventQueue)
-        sim.at(1.0, lambda: None, label="near")
-        sim.at(100_000.0, lambda: None, label="far")
-        sim.run_until(0.5)
-        assert registry.get("sim_queue_depth").value == 2
-        assert registry.get("sim_queue_near_depth").value == 2
-        assert registry.get("sim_queue_wheel_depth").value == 0
 
     def test_sample_interval_gauge_registered(self, registry):
         KernelTelemetry(registry, sample_every=32)

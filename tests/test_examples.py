@@ -58,6 +58,16 @@ def test_full_study(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "openft.jsonl").exists()
 
 
+def test_full_study_short_run_without_openft_malware(monkeypatch, capsys,
+                                                     tmp_path):
+    # 0.05 days leaves the OpenFT store without malware: the OpenFT
+    # source and host tables fall back to "all strains"
+    output = run_example(monkeypatch, capsys, "full_study.py",
+                         "--days", "0.05", "--out", str(tmp_path))
+    assert "T5: filtering effectiveness" in output
+    assert "all strains" in output
+
+
 def test_investigate_host(monkeypatch, capsys):
     output = run_example(monkeypatch, capsys, "investigate_host.py")
     assert "top strain" in output
